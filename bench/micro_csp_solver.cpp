@@ -2,10 +2,10 @@
  * @file
  * CSP solver throughput microbench (the tuning pipeline's hot
  * loop). Reproduces the fig12 CGA solve workload — plain population
- * draws plus crossover-constrained offspring solves on the C2D and
- * GEMM spaces — and reports solver throughput, per-solve latency
- * percentiles, propagation counts, and SampleBatch worker scaling
- * into a JSON artifact.
+ * draws plus crossover-constrained offspring solves on the C2D, GEMM
+ * and Table 10 C3D spaces — and reports solver throughput, per-solve
+ * latency percentiles, propagation and revision counts, and
+ * SampleBatch worker scaling into a JSON artifact.
  *
  * Usage:
  *   micro_csp_solver [--trials N] [--seed S] [--quick]
@@ -53,6 +53,7 @@ struct SolveSeries {
     double p50_ms = 0.0;
     double p95_ms = 0.0;
     double propagations_per_solve = 0.0;
+    double revisions_per_solve = 0.0;
 };
 
 struct BatchPoint {
@@ -100,6 +101,31 @@ crossover_extras(const std::vector<csp::VarId> &keys,
     return extra;
 }
 
+/** Summarize one timed run of solves on @p latencies.size() inputs. */
+SolveSeries
+make_series(const std::vector<double> &latencies, int solved,
+            double elapsed, const csp::SolverStats &before,
+            const csp::SolverStats &after)
+{
+    const int n = static_cast<int>(latencies.size());
+    SolveSeries series;
+    series.solved = solved;
+    series.attempts = n;
+    series.solves_per_sec = elapsed > 0 ? n / elapsed : 0.0;
+    series.p50_ms = percentile(latencies, 50.0);
+    series.p95_ms = percentile(latencies, 95.0);
+    if (n > 0) {
+        series.propagations_per_solve =
+            static_cast<double>(after.propagations -
+                                before.propagations) /
+            n;
+        series.revisions_per_solve =
+            static_cast<double>(after.revisions - before.revisions) /
+            n;
+    }
+    return series;
+}
+
 SolveSeries
 run_plain(csp::RandSatSolver &solver, Rng &rng, int n)
 {
@@ -116,18 +142,7 @@ run_plain(csp::RandSatSolver &solver, Rng &rng, int n)
     double elapsed = seconds_since(start);
     csp::SolverStats after = solver.stats();
 
-    SolveSeries series;
-    series.solved = solved;
-    series.attempts = n;
-    series.solves_per_sec = elapsed > 0 ? n / elapsed : 0.0;
-    series.p50_ms = percentile(latencies, 50.0);
-    series.p95_ms = percentile(latencies, 95.0);
-    if (n > 0)
-        series.propagations_per_solve =
-            static_cast<double>(after.propagations -
-                                before.propagations) /
-            n;
-    return series;
+    return make_series(latencies, solved, elapsed, before, after);
 }
 
 SolveSeries
@@ -150,27 +165,17 @@ run_offspring(csp::RandSatSolver &solver,
     double elapsed = seconds_since(start);
     csp::SolverStats after = solver.stats();
 
-    SolveSeries series;
-    series.solved = solved;
-    series.attempts = n;
-    series.solves_per_sec = elapsed > 0 ? n / elapsed : 0.0;
-    series.p50_ms = percentile(latencies, 50.0);
-    series.p95_ms = percentile(latencies, 95.0);
-    if (n > 0)
-        series.propagations_per_solve =
-            static_cast<double>(after.propagations -
-                                before.propagations) /
-            n;
-    return series;
+    return make_series(latencies, solved, elapsed, before, after);
 }
 
 void
 print_series(const char *label, const SolveSeries &s)
 {
     std::printf("  %-10s %7.1f solves/sec  p50 %.3f ms  p95 %.3f "
-                "ms  %.1f props/solve  (%d/%d ok)\n",
+                "ms  %.1f props/solve  %.1f revs/solve  (%d/%d ok)\n",
                 label, s.solves_per_sec, s.p50_ms, s.p95_ms,
-                s.propagations_per_solve, s.solved, s.attempts);
+                s.propagations_per_solve, s.revisions_per_solve,
+                s.solved, s.attempts);
 }
 
 void
@@ -189,10 +194,11 @@ write_json(const std::string &path, int trials, uint64_t seed,
                      "    \"%s\": {\"solves_per_sec\": %.2f, "
                      "\"p50_ms\": %.5f, \"p95_ms\": %.5f, "
                      "\"propagations_per_solve\": %.2f, "
+                     "\"revisions_per_solve\": %.2f, "
                      "\"solved\": %d, \"attempts\": %d}%s\n",
                      name, s.solves_per_sec, s.p50_ms, s.p95_ms,
-                     s.propagations_per_solve, s.solved, s.attempts,
-                     suffix);
+                     s.propagations_per_solve, s.revisions_per_solve,
+                     s.solved, s.attempts, suffix);
     };
     unsigned cores = std::thread::hardware_concurrency();
     std::fprintf(out,
@@ -217,16 +223,21 @@ write_json(const std::string &path, int trials, uint64_t seed,
                      r.name.c_str());
         series("plain", r.plain, ",");
         series("offspring", r.offspring, ",");
-        std::fprintf(out,
-                     "    \"baseline_plain_solves_per_sec\": %.1f,\n"
-                     "    \"baseline_offspring_solves_per_sec\": "
-                     "%.1f,\n",
-                     r.baseline.plain, r.baseline.offspring);
+        // A workload without a recorded baseline gets neither the
+        // baseline nor the speedup keys: a 0.0 would read as measured.
         if (r.baseline.plain > 0)
-            std::fprintf(out, "    \"speedup_plain\": %.2f,\n",
+            std::fprintf(out,
+                         "    \"baseline_plain_solves_per_sec\": "
+                         "%.1f,\n"
+                         "    \"speedup_plain\": %.2f,\n",
+                         r.baseline.plain,
                          r.plain.solves_per_sec / r.baseline.plain);
         if (r.baseline.offspring > 0)
-            std::fprintf(out, "    \"speedup_offspring\": %.2f,\n",
+            std::fprintf(out,
+                         "    \"baseline_offspring_solves_per_sec\": "
+                         "%.1f,\n"
+                         "    \"speedup_offspring\": %.2f,\n",
+                         r.baseline.offspring,
                          r.offspring.solves_per_sec /
                              r.baseline.offspring);
         std::fprintf(out, "    \"batch\": [");
@@ -282,6 +293,10 @@ main(int argc, char **argv)
                      {240.8, 980.0}});
     cases.push_back(
         {ops::gemm(512, 1024, 1024), {3218.2, 3775.5}});
+    // Table 10's C3D: the space where crossover solves spend most of
+    // their revisions (no pre-rewrite baseline was recorded).
+    cases.push_back(
+        {ops::c3d(4, 16, 16, 28, 28, 32, 3, 3, 3, 1, 1), {}});
 
     unsigned cores = std::thread::hardware_concurrency();
     std::printf("hardware concurrency: %u (batch scaling is "

@@ -80,9 +80,8 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", t10.to_string().c_str());
     std::printf("%s\n", t14.to_string().c_str());
-    std::printf("Note: our CSP solver is far cheaper than the "
-                "paper's or-tools setup, so the CGA share is lower "
-                "than the paper's ~23%%; measurement still "
-                "dominates.\n");
+    std::printf("Note: the paper reports 61-79%% measurement and "
+                "~23%% CGA; compare the measure%% and CGA%% columns "
+                "above.\n");
     return 0;
 }

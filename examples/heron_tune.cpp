@@ -459,14 +459,15 @@ main(int argc, char **argv)
     const csp::SolverStats &ss = outcome.solver_stats;
     if (ss.solve_calls > 0)
         std::printf("Solver: %lld solve(s), %lld solution(s), %lld "
-                    "propagation(s) (%.1f/solve), %lld backtrack(s), "
-                    "%lld unsat (%lld from memo), %lld budget, %lld "
-                    "deadline\n",
+                    "propagation(s) (%.1f/solve), %lld revision(s), "
+                    "%lld backtrack(s), %lld unsat (%lld from memo), "
+                    "%lld budget, %lld deadline\n",
                     static_cast<long long>(ss.solve_calls),
                     static_cast<long long>(ss.solutions),
                     static_cast<long long>(ss.propagations),
                     static_cast<double>(ss.propagations) /
                         static_cast<double>(ss.solve_calls),
+                    static_cast<long long>(ss.revisions),
                     static_cast<long long>(ss.backtracks),
                     static_cast<long long>(ss.unsat),
                     static_cast<long long>(ss.unsat_memo_hits),

@@ -4,8 +4,9 @@
 Walks both JSON trees in parallel, collects every numeric leaf, and
 classifies each metric as higher-better (throughput, speedup,
 effective_parallelism) or lower-better (latency percentiles,
-growth ratios). A metric that moved in the bad direction by more
-than --threshold (default 20%) is reported as a regression.
+growth ratios, per-solve work counts). A metric that moved in the
+bad direction by more than --threshold (default 20%) is reported as
+a regression.
 
 Usage:
     scripts/bench_diff.py [--ref REV] [--threshold PCT] [--fail]
@@ -40,6 +41,7 @@ LOWER_BETTER = (
     "_us",
     "growth_ratio",
     "overhead_pct",
+    "_per_solve",
 )
 
 

@@ -42,16 +42,9 @@ count_constraint_failure(ConstraintKind)
 
 } // namespace
 
-PropagationEngine::PropagationEngine(const Csp &csp,
-                                     const std::vector<Constraint> &extra)
-    : csp_(csp)
-{
-    build(extra);
-}
-
 PropagationEngine::PropagationEngine(const Csp &csp) : csp_(csp)
 {
-    build({});
+    build();
 }
 
 namespace {
@@ -104,7 +97,7 @@ PropagationEngine::refresh_arith_safety()
 }
 
 void
-PropagationEngine::build(const std::vector<Constraint> &extra)
+PropagationEngine::build()
 {
     domains_.reserve(csp_.num_vars());
     for (const auto &v : csp_.vars())
@@ -115,10 +108,8 @@ PropagationEngine::build(const std::vector<Constraint> &extra)
     for (size_t i = 0; i < domains_.size(); ++i)
         refresh_bounds(static_cast<VarId>(i));
 
-    all_constraints_.reserve(csp_.constraints().size() + extra.size());
+    all_constraints_.reserve(csp_.constraints().size());
     for (const auto &c : csp_.constraints())
-        all_constraints_.push_back(&c);
-    for (const auto &c : extra)
         all_constraints_.push_back(&c);
     base_constraint_count_ = all_constraints_.size();
 
@@ -151,13 +142,13 @@ PropagationEngine::build(const std::vector<Constraint> &extra)
 
     refresh_arith_safety();
 
-    queued_.assign(all_constraints_.size(), true);
+    queued_.assign(all_constraints_.size(), false);
     entail_depth_.assign(all_constraints_.size(), kNotEntailed);
     entail_token_.assign(all_constraints_.size(), 0);
-    queue_.clear();
-    queue_.reserve(all_constraints_.size());
+    fail_epoch_.assign(all_constraints_.size(), 0);
+    queue_.items.reserve(all_constraints_.size());
     for (size_t ci = 0; ci < all_constraints_.size(); ++ci)
-        queue_.push_back(static_cast<int>(ci));
+        enqueue(static_cast<int>(ci));
 
     // Pre-size the revise scratch buffers to the widest constraint
     // so the hot path never reallocates.
@@ -179,20 +170,6 @@ PropagationEngine::reserve_scratch(size_t arity)
 }
 
 void
-PropagationEngine::restore(std::vector<Domain> snapshot)
-{
-    HERON_CHECK_EQ(snapshot.size(), domains_.size());
-    HERON_CHECK(level_marks_.empty())
-        << "restore() with open trail levels";
-    domains_ = std::move(snapshot);
-    for (size_t i = 0; i < domains_.size(); ++i)
-        refresh_bounds(static_cast<VarId>(i));
-    entail_depth_.assign(entail_depth_.size(), kNotEntailed);
-    refresh_arith_safety(); // bounds may have widened
-    drain_queue();
-}
-
-void
 PropagationEngine::touch(VarId id)
 {
     enqueue_watchers(id);
@@ -208,8 +185,7 @@ PropagationEngine::enqueue_watchers(VarId id, bool bounds_changed)
             return;
         if (constraint_entailed(ci))
             return;
-        queued_[static_cast<size_t>(ci)] = true;
-        queue_.push_back(ci);
+        enqueue(ci);
     };
     const size_t v = static_cast<size_t>(id);
     const int32_t *it = watch_flat_.data() + watch_off_[v];
@@ -222,12 +198,24 @@ PropagationEngine::enqueue_watchers(VarId id, bool bounds_changed)
 }
 
 void
+PropagationEngine::enqueue(int ci)
+{
+    queued_[static_cast<size_t>(ci)] = true;
+    Fifo &fifo =
+        fail_epoch_[static_cast<size_t>(ci)] == lane_epoch_ ? lane_
+                                                             : queue_;
+    fifo.items.push_back(ci);
+}
+
+void
 PropagationEngine::drain_queue()
 {
-    for (size_t i = queue_head_; i < queue_.size(); ++i)
-        queued_[static_cast<size_t>(queue_[i])] = false;
-    queue_.clear();
-    queue_head_ = 0;
+    for (Fifo *fifo : {&lane_, &queue_}) {
+        while (!fifo->empty())
+            queued_[static_cast<size_t>(fifo->pop())] = false;
+        fifo->items.clear();
+        fifo->head = 0;
+    }
 }
 
 void
@@ -291,16 +279,13 @@ PropagationEngine::push_extras(const std::vector<Constraint> &extra)
         queued_.push_back(false);
         entail_depth_.push_back(kNotEntailed);
         entail_token_.push_back(0);
+        fail_epoch_.push_back(0);
         reserve_scratch(c.operands.size());
     }
     push_level();
     for (size_t ci = base_constraint_count_;
-         ci < all_constraints_.size(); ++ci) {
-        if (!queued_[ci]) {
-            queued_[ci] = true;
-            queue_.push_back(static_cast<int>(ci));
-        }
-    }
+         ci < all_constraints_.size(); ++ci)
+        enqueue(static_cast<int>(ci));
     return propagate();
 }
 
@@ -320,6 +305,7 @@ PropagationEngine::pop_extras()
     queued_.resize(base_constraint_count_);
     entail_depth_.resize(base_constraint_count_);
     entail_token_.resize(base_constraint_count_);
+    fail_epoch_.resize(base_constraint_count_);
     has_extras_ = false;
 }
 
@@ -345,23 +331,22 @@ PropagationEngine::propagate()
 {
     HERON_COUNTER_INC("csp.propagations");
     ++stats_.propagations;
-    while (queue_head_ < queue_.size()) {
-        int ci = queue_.back();
-        queue_.pop_back();
+    while (!lane_.empty() || !queue_.empty()) {
+        const int ci = lane_.empty() ? queue_.pop() : lane_.pop();
         queued_[static_cast<size_t>(ci)] = false;
         const Constraint &c =
             *all_constraints_[static_cast<size_t>(ci)];
         ++stats_.revisions;
         if (!revise(c, ci)) {
+            fail_epoch_[static_cast<size_t>(ci)] = lane_epoch_;
             HERON_COUNTER_INC("csp.domain_wipeouts");
             count_constraint_failure(c.kind);
             return false;
         }
     }
-    queue_.clear();
-    queue_head_ = 0;
+    drain_queue(); // both empty: just rewinds them
     // A root-level fixpoint permanently tightens every bound below
-    // its build/restore state; re-derive overflow safety so PROD
+    // its build state; re-derive overflow safety so PROD
     // constraints whose *initial* bounds were too wide for the raw
     // arithmetic path can graduate onto it.
     if (level_marks_.empty())

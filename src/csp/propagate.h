@@ -49,16 +49,9 @@ class PropagationEngine
     };
 
     /**
-     * Legacy one-shot construction: engine over @p csp plus @p extra
-     * constraints, with every constraint queued for the first
-     * propagate() call. Both must outlive the engine.
-     */
-    PropagationEngine(const Csp &csp,
-                      const std::vector<Constraint> &extra);
-
-    /**
-     * Engine over just the base problem, every base constraint
-     * queued. Use push_extras() to add subproblem constraints later.
+     * Engine over @p csp (which must outlive it), every constraint
+     * queued for the first propagate() call. Use push_extras() to add
+     * subproblem constraints later.
      */
     explicit PropagationEngine(const Csp &csp);
 
@@ -68,15 +61,8 @@ class PropagationEngine
         return domains_[static_cast<size_t>(id)];
     }
 
-    /** All current domains (for snapshot/restore by legacy users). */
+    /** All current domains. */
     const std::vector<Domain> &domains() const { return domains_; }
-
-    /**
-     * Restore a previously captured domain snapshot. Legacy
-     * API for snapshot-style backtracking; must not be called with
-     * open trail levels (trail and snapshot styles don't mix).
-     */
-    void restore(std::vector<Domain> snapshot);
 
     /**
      * Mark a variable changed so its constraints are reconsidered by
@@ -117,6 +103,14 @@ class PropagationEngine
 
     /** True while an extras set is registered. */
     bool has_extras() const { return has_extras_; }
+
+    /**
+     * Empty the failure lane: forget which constraints have wiped
+     * out a domain. RandSatSolver calls this at the start of every
+     * solve call, so the revisions a call costs depend only on that
+     * call's inputs, not on what the engine solved before.
+     */
+    void reset_failure_lane() { ++lane_epoch_; }
 
     // ---- Propagation --------------------------------------------
 
@@ -196,13 +190,27 @@ class PropagationEngine
     // operands are proven non-negative at registration.
     std::vector<bool> arith_safe_;
     std::vector<bool> queued_;
-    // LIFO revision queue (depth-first wake order reaches the
-    // fixpoint with the fewest revisions on the rule-emitted
-    // constraint graphs; the fixpoint itself is order-independent).
-    // queue_head_ exists so drain_queue() can also handle a
-    // partially consumed queue.
-    std::vector<int> queue_;
-    size_t queue_head_ = 0;
+    // Fail-first revision schedule. Woken constraints are revised in
+    // FIFO order, except that a constraint which has wiped out a
+    // domain since the last reset_failure_lane() goes into the
+    // failure lane, which is drained before the FIFO queue: a
+    // propagation that is going to fail mostly fails on a constraint
+    // that failed before, and reaching it first skips the revisions
+    // that would precede the wipeout. A successful propagation
+    // reaches the same fixpoint in any order (every filter is a
+    // monotone contraction), so the schedule changes revision counts
+    // and csp.fail.<kind> attribution, never domains or search.
+    struct Fifo {
+        std::vector<int> items;
+        size_t head = 0; // items[0, head) are consumed
+        bool empty() const { return head == items.size(); }
+        int pop() { return items[head++]; }
+    };
+    Fifo queue_;
+    Fifo lane_;
+    // fail_epoch_[ci] == lane_epoch_ puts ci in the failure lane.
+    std::vector<uint64_t> fail_epoch_;
+    uint64_t lane_epoch_ = 1;
     // Constraint currently being revised, when its filter is known
     // to exit at a local fixpoint (PROD/SUM iterate in place, the
     // binary kinds get there in one pass): mutations it makes to its
@@ -240,7 +248,7 @@ class PropagationEngine
     std::vector<int64_t> scratch_suf_min_;
     std::vector<int64_t> scratch_suf_max_;
 
-    void build(const std::vector<Constraint> &extra);
+    void build();
     void reserve_scratch(size_t arity);
     /**
      * Overflow-safety check for PROD (see arith_safe_), folded over
@@ -250,9 +258,8 @@ class PropagationEngine
     bool compute_arith_safe(const Constraint &c) const;
     /**
      * Recompute arith_safe_ from the current bounds. Called at
-     * build, after a root-level propagation fixpoint (bounds just
-     * shrank: more constraints qualify), and on restore() (bounds
-     * may have widened: marks must be re-derived).
+     * build and after a root-level propagation fixpoint (bounds just
+     * shrank: more constraints qualify).
      */
     void refresh_arith_safety();
     /**
@@ -261,6 +268,8 @@ class PropagationEngine
      * lets bounds-only constraints sleep through it.
      */
     void enqueue_watchers(VarId id, bool bounds_changed = true);
+    /** Queue @p ci (not already queued) in its lane. */
+    void enqueue(int ci);
     void drain_queue();
 
     /**
@@ -308,7 +317,7 @@ class PropagationEngine
         if (d == kNotEntailed)
             return false; // common case: one load, one compare
         if (d == 0 || d == kPermanentEntailed)
-            return true; // root entailment: valid until restore()
+            return true; // root entailment: domains only shrink
         return d <= level_marks_.size() &&
                level_tokens_[d - 1] ==
                    entail_token_[static_cast<size_t>(ci)];

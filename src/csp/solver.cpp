@@ -249,6 +249,10 @@ RandSatSolver::search(Rng &rng, const std::vector<Constraint> &extra)
     if (!root_ok_)
         return fail_unsat();
 
+    // Failures seen by earlier calls must not steer this call's
+    // revision order (see PropagationEngine::reset_failure_lane).
+    engine_.reset_failure_lane();
+
     // UNSAT memo: answer recently-disproven extra sets without
     // touching the engine. Memo hits consume no RNG, matching the
     // root-conflict path they cache.

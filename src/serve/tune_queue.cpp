@@ -67,7 +67,11 @@ TuneQueue::enqueue(const ops::Workload &workload)
         std::lock_guard<std::mutex> lock(mu_);
         if (!running_)
             return EnqueueOutcome::kStopped;
-        if (pending_.count(key)) {
+        // A key the registry already serves needs no tune either.
+        // The worker publishes its record before it erases the key
+        // from pending_ under mu_, so with both checks under mu_ a
+        // just-finished tune is caught by one of them.
+        if (pending_.count(key) || registry_.peek(key)) {
             ++stats_.deduplicated;
             HERON_COUNTER_INC("serve.queue.deduplicated");
             return EnqueueOutcome::kDuplicate;

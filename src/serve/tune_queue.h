@@ -7,8 +7,8 @@
  * itself fans measurements across hw::MeasurePool workers) and
  * hot-swaps the winner into the KernelRegistry, so a workload that
  * missed once starts answering exact-hit lookups as soon as its
- * tune completes. Workloads already queued or in flight are
- * deduplicated; a full queue rejects (serving never blocks on
+ * tune completes. Workloads already queued, in flight or served
+ * from the registry are deduplicated; a full queue rejects (serving never blocks on
  * tuning); a workload that tunes to nothing is marked untunable so
  * the registry's negative cache stops re-enqueueing it.
  */
@@ -55,7 +55,7 @@ struct TuneQueueConfig {
 /** Why enqueue() accepted or rejected a workload. */
 enum class EnqueueOutcome : uint8_t {
     kAccepted = 0,
-    /** Already queued or being tuned. */
+    /** Already queued, being tuned, or served by the registry. */
     kDuplicate,
     /** Queue at capacity. */
     kFull,

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <optional>
 
 #include "csp/propagate.h"
 #include "csp/sample_batch.h"
@@ -199,8 +200,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SolverFuzz,
  * Reference solver: snapshot-per-decision backtracking, the way the
  * solver worked before the undo trail was introduced. It replicates
  * RandSatSolver's branching heuristics and RNG consumption exactly
- * but undoes every decision by restoring a full copy of all
- * domains, so agreement with RandSatSolver on the same seed proves
+ * but undoes every decision by re-constructing the engine from a
+ * copy saved before it, so agreement with RandSatSolver on the same seed proves
  * the trail rewrite is search-order preserving.
  */
 class SnapshotReferenceSolver
@@ -208,9 +209,9 @@ class SnapshotReferenceSolver
   public:
     explicit SnapshotReferenceSolver(const Csp &csp,
                                      SolverConfig config = {})
-        : csp_(csp), config_(config), engine_(csp)
+        : csp_(csp), config_(config), engine_(std::in_place, csp)
     {
-        root_ok_ = engine_.propagate();
+        root_ok_ = engine_->propagate();
     }
 
     std::optional<Assignment>
@@ -219,16 +220,16 @@ class SnapshotReferenceSolver
         if (!root_ok_)
             return std::nullopt;
         rng_ = &rng;
-        const std::vector<Domain> root = engine_.domains();
+        const PropagationEngine root = *engine_;
         for (int restart = 0; restart < config_.max_restarts;
              ++restart) {
             backtracks_left_ = config_.max_backtracks_per_restart;
             if (recurse()) {
-                Assignment a = engine_.extract();
-                engine_.restore(root);
+                Assignment a = engine_->extract();
+                engine_.emplace(root);
                 return a;
             }
-            engine_.restore(root);
+            engine_.emplace(root);
         }
         return std::nullopt;
     }
@@ -236,7 +237,7 @@ class SnapshotReferenceSolver
   private:
     const Csp &csp_;
     SolverConfig config_;
-    PropagationEngine engine_;
+    std::optional<PropagationEngine> engine_;
     bool root_ok_ = false;
     Rng *rng_ = nullptr;
     int backtracks_left_ = 0;
@@ -248,7 +249,7 @@ class SnapshotReferenceSolver
         if (config_.branch_tunables_first) {
             int64_t best = std::numeric_limits<int64_t>::max();
             for (VarId v : csp_.tunable_vars()) {
-                const Domain &d = engine_.domain(v);
+                const Domain &d = engine_->domain(v);
                 if (d.is_singleton())
                     continue;
                 if (d.size() < best) {
@@ -264,7 +265,7 @@ class SnapshotReferenceSolver
         VarId best = -1;
         int64_t best_size = 0;
         for (size_t i = 0; i < csp_.num_vars(); ++i) {
-            const Domain &d = engine_.domain(static_cast<VarId>(i));
+            const Domain &d = engine_->domain(static_cast<VarId>(i));
             if (d.is_singleton())
                 continue;
             if (best < 0 || d.size() < best_size) {
@@ -300,14 +301,14 @@ class SnapshotReferenceSolver
     {
         VarId var = pick_branch_var();
         if (var < 0)
-            return engine_.all_assigned();
-        for (int64_t value : candidate_values(engine_.domain(var))) {
-            std::vector<Domain> snapshot = engine_.domains();
-            if (engine_.assign_and_propagate(var, value)) {
+            return engine_->all_assigned();
+        for (int64_t value : candidate_values(engine_->domain(var))) {
+            const PropagationEngine snapshot = *engine_;
+            if (engine_->assign_and_propagate(var, value)) {
                 if (recurse())
                     return true;
             }
-            engine_.restore(std::move(snapshot));
+            engine_.emplace(snapshot);
             if (--backtracks_left_ <= 0)
                 return false;
         }
@@ -454,6 +455,133 @@ TEST(SampleBatchDeterminism, ExtraConstraintsWorkerInvariant)
     EXPECT_EQ(serial.last_failure(), four.last_failure());
     for (const auto &sol : a)
         EXPECT_TRUE(space.csp.satisfies(pin, sol));
+}
+
+/** Pinned outcome of a seeded sequence of crossover-style solves. */
+struct Trajectory {
+    /** Combined hash of every solve's result or failure reason. */
+    uint64_t results_hash = 0;
+    int64_t backtracks = 0;
+    int64_t propagations = 0;
+    int64_t restarts = 0;
+    int64_t solutions = 0;
+    int64_t unsat = 0;
+    int64_t budget_exhausted = 0;
+    /** The RNG's next draw after the last solve. */
+    uint64_t next_draw = 0;
+};
+
+/**
+ * CGA-style crossover extras: IN {parent1[v], parent2[v]} over
+ * random variables (CGA's random-key mode), derived ones included,
+ * which makes some subproblems much harder than others.
+ */
+std::vector<Constraint>
+crossover_extras(const Csp &csp, const std::vector<Assignment> &parents,
+                 Rng &rng)
+{
+    const Assignment &p1 = rng.pick(parents);
+    const Assignment &p2 = rng.pick(parents);
+    std::vector<Constraint> extra;
+    for (int k = 0; k < 16; ++k) {
+        Constraint c;
+        c.kind = ConstraintKind::kIn;
+        c.result = static_cast<VarId>(rng.index(csp.num_vars()));
+        c.constants = {p1[static_cast<size_t>(c.result)],
+                       p2[static_cast<size_t>(c.result)]};
+        extra.push_back(std::move(c));
+    }
+    return extra;
+}
+
+/**
+ * Sample parents, then run @p solves crossover solves on one
+ * solver, recording every result and the search counters. Also
+ * checks that re-solving the last subproblem on the now-warm solver
+ * costs exactly the revisions it costs on a fresh solver: per-call
+ * stats may depend on nothing but the call's inputs.
+ */
+Trajectory
+run_crossover_trajectory(const Csp &csp, uint64_t seed, int solves)
+{
+    // A tight budget so the sequence also restarts and gives up.
+    SolverConfig config;
+    config.max_backtracks_per_restart = 64;
+    config.max_restarts = 4;
+    config.unsat_memo = false;
+    RandSatSolver solver(csp, config);
+    Rng rng(seed);
+    auto parents = solver.solve_n(rng, 8);
+    EXPECT_GE(parents.size(), 2u);
+    if (parents.size() < 2)
+        return {};
+    std::vector<Constraint> extra;
+    Trajectory t;
+    for (int i = 0; i < solves; ++i) {
+        extra = crossover_extras(csp, parents, rng);
+        auto result = solver.solve_one(rng, extra);
+        t.results_hash = hash_combine(
+            t.results_hash,
+            result ? assignment_hash(*result)
+                   : static_cast<uint64_t>(solver.last_failure()));
+    }
+    const SolverStats &s = solver.stats();
+    t.backtracks = s.backtracks;
+    t.propagations = s.propagations;
+    t.restarts = s.restarts;
+    t.solutions = s.solutions;
+    t.unsat = s.unsat;
+    t.budget_exhausted = s.budget_exhausted;
+    t.next_draw = rng.next_u64();
+
+    RandSatSolver fresh(csp, config);
+    Rng warm_rng(seed + 1), fresh_rng(seed + 1);
+    const int64_t warm_before = solver.stats().revisions;
+    auto warm = solver.solve_one(warm_rng, extra);
+    auto cold = fresh.solve_one(fresh_rng, extra);
+    EXPECT_EQ(warm, cold);
+    EXPECT_EQ(solver.stats().revisions - warm_before,
+              fresh.stats().revisions);
+    return t;
+}
+
+void
+expect_trajectory(const Trajectory &got, const Trajectory &want)
+{
+    EXPECT_EQ(got.results_hash, want.results_hash);
+    EXPECT_EQ(got.backtracks, want.backtracks);
+    EXPECT_EQ(got.propagations, want.propagations);
+    EXPECT_EQ(got.restarts, want.restarts);
+    EXPECT_EQ(got.solutions, want.solutions);
+    EXPECT_EQ(got.unsat, want.unsat);
+    EXPECT_EQ(got.budget_exhausted, want.budget_exhausted);
+    EXPECT_EQ(got.next_draw, want.next_draw);
+}
+
+// Golden search trajectories on the Table 10 C2D and C3D spaces.
+// Propagation order is free to change (every propagator is a
+// monotone contraction with a unique fixpoint), but the search it
+// drives is not: a change to the revision schedule alone must leave
+// every value here as it is.
+TEST(GoldenTrajectory, CrossoverSolvesOnTable10C2d)
+{
+    rules::SpaceGenerator gen(hw::DlaSpec::v100(),
+                              rules::Options::heron());
+    auto space = gen.generate(ops::c2d(16, 64, 28, 28, 64, 3, 3, 1, 1));
+    expect_trajectory(run_crossover_trajectory(space.csp, 3, 48),
+                      {16326835099036835184ull, 1114, 2106, 10, 55, 0, 1,
+                       14469667080878405756ull});
+}
+
+TEST(GoldenTrajectory, CrossoverSolvesOnTable10C3d)
+{
+    rules::SpaceGenerator gen(hw::DlaSpec::v100(),
+                              rules::Options::heron());
+    auto space =
+        gen.generate(ops::c3d(4, 16, 16, 28, 28, 32, 3, 3, 3, 1, 1));
+    expect_trajectory(run_crossover_trajectory(space.csp, 5, 48),
+                      {9313916560129658841ull, 2502, 3566, 24, 54, 0, 2,
+                       2378128111863851607ull});
 }
 
 TEST_P(SolverFuzz, SampleBatchWorkerInvariantOnFuzzProblems)

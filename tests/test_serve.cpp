@@ -653,6 +653,31 @@ TEST(TuneQueueTest, DeduplicatesAndRejectsWhenFullOrStopped)
     EXPECT_EQ(stats.rejected_full, 1);
 }
 
+TEST(TuneQueueTest, ServedWorkloadIsNotTunedAgain)
+{
+    // A graph request that missed a layer before its tune published
+    // re-offers it after the tune left the pending set; the served
+    // record must turn that into a duplicate, not a second tune.
+    auto spec = hw::DlaSpec::v100();
+    KernelRegistry registry(spec);
+    TuneQueueConfig config;
+    config.tune = tiny_tune_config();
+    TuneQueue queue(registry, config);
+    queue.start();
+
+    auto workload = ops::gemm(256, 256, 256);
+    ASSERT_TRUE(registry.put(workload,
+                             solved_record(spec, workload, 100.0)));
+    EXPECT_EQ(queue.enqueue(workload), EnqueueOutcome::kDuplicate);
+    queue.drain();
+    queue.stop();
+    auto stats = queue.stats();
+    EXPECT_EQ(stats.deduplicated, 1);
+    EXPECT_EQ(stats.accepted, 0);
+    EXPECT_EQ(stats.completed, 0);
+    EXPECT_EQ(stats.failed, 0);
+}
+
 TEST(TuneQueueTest, PersistFailureIsCountedAndRetried)
 {
     // Legacy single-file store path: a failed save must be counted
