@@ -8,7 +8,7 @@
  * (serve/server.h) with admission control, per-request deadlines,
  * slow-client defenses, and SIGTERM-triggered graceful drain:
  *
- *   heron_serve --dla v100 --store tuned.jsonl --port 7717 &
+ *   heron_serve --dla v100 --store-dir tuned --port 7717 &
  *   printf '%s\n' \
  *     '{"id":1,"op":"gemm","shape":[512,512,512]}' \
  *     '{"id":2,"cmd":"stats"}' \
@@ -20,19 +20,21 @@
  * with an error instead of buffered without limit):
  *
  *   printf '%s\n' '{"id":1,"op":"gemm","shape":[512,512,512]}' \
- *   | heron_serve --stdio --dla v100 --store tuned.jsonl
+ *   | heron_serve --stdio --dla v100 --store-dir tuned
  *
  * Lookups answer in three tiers: exact (the shape is in the store),
  * nearest (a close shape whose schedule still binds against the
  * query's constraint space), and miss. With --tune-on-miss, missed
  * workloads are tuned by a background worker and hot-swapped into
- * the registry, so repeated traffic converges to exact hits; the
- * store is re-persisted (atomically) after every completed tune.
+ * the registry, so repeated traffic converges to exact hits; each
+ * tuned record is appended to the --store-dir write-ahead log
+ * before it is served. Without --store-dir the library lives in
+ * memory only.
  *
  * Usage:
  *   heron_serve --dla <v100|t4|a100|dlboost|vta>
  *               [--stdio | --host H --port P [--port-file FILE]]
- *               [--store FILE] [--tune-on-miss] [--trials N]
+ *               [--store-dir DIR] [--tune-on-miss] [--trials N]
  *               [--seed S] [--queue-capacity N] [--shards N]
  *               [--no-fallback] [--max-distance D]
  *               [--negative-threshold N] [--measure-workers N]
@@ -81,8 +83,7 @@ namespace {
 
 struct CliArgs {
     std::string dla = "v100";
-    std::string store_path;
-    /** WAL-backed store directory (preferred over --store). */
+    /** WAL-backed store directory ("" = in-memory only). */
     std::string store_dir;
     size_t segment_bytes = 1u << 20;
     int compact_segments = 4;
@@ -135,7 +136,7 @@ print_usage(std::FILE *to)
         "usage: heron_serve --dla <v100|t4|a100|dlboost|vta>\n"
         "                   [--stdio | --host H --port P\n"
         "                    [--port-file FILE]]\n"
-        "                   [--store FILE | --store-dir DIR\n"
+        "                   [--store-dir DIR\n"
         "                    [--segment-bytes N]\n"
         "                    [--compact-segments N]\n"
         "                    [--store-retry-ms D]]\n"
@@ -196,8 +197,8 @@ print_usage(std::FILE *to)
         "answering, tunes are rejected \"degraded\" — and probes\n"
         "the log every --store-retry-ms until writes succeed\n"
         "again. {\"cmd\":\"health\"} and GET /healthz on the\n"
-        "metrics port report ok/degraded. --store keeps the legacy\n"
-        "single-file rewrite path.\n"
+        "metrics port report ok/degraded. Without --store-dir\n"
+        "tuned kernels live in memory only.\n"
         "\n"
         "TCP mode (default): serves the NDJSON protocol on\n"
         "--host:--port (port 0 picks an ephemeral port, written to\n"
@@ -207,7 +208,8 @@ print_usage(std::FILE *to)
         "\n"
         "--stdio: one JSON request per stdin line, one JSON\n"
         "response per stdout line; EOF or {\"cmd\":\"quit\"} stops\n"
-        "the server (persisting the store when --store is set).\n"
+        "the server (compacting the store when --store-dir is\n"
+        "set).\n"
         "Requests:\n"
         "  {\"id\":1,\"op\":\"gemm\",\"shape\":[512,512,512],\n"
         "   \"deadline_ms\":50}\n"
@@ -223,6 +225,20 @@ usage(const char *msg)
     std::exit(kExitUsage);
 }
 
+/** A TCP port in 0-65535 (0 = ephemeral), or exit via usage(). */
+uint16_t
+parse_port(const char *flag, const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    long value = std::strtol(text, &end, 10);
+    if (*text < '0' || *text > '9' || *end != '\0' ||
+        errno == ERANGE || value > 65535)
+        usage((std::string(flag) + " needs a port in 0-65535, got '" +
+               text + "'").c_str());
+    return static_cast<uint16_t>(value);
+}
+
 CliArgs
 parse(int argc, char **argv)
 {
@@ -236,8 +252,6 @@ parse(int argc, char **argv)
         };
         if (!std::strcmp(argv[i], "--dla")) {
             args.dla = need("--dla");
-        } else if (!std::strcmp(argv[i], "--store")) {
-            args.store_path = need("--store");
         } else if (!std::strcmp(argv[i], "--store-dir")) {
             args.store_dir = need("--store-dir");
         } else if (!std::strcmp(argv[i], "--segment-bytes")) {
@@ -287,8 +301,8 @@ parse(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--host")) {
             args.server.host = need("--host");
         } else if (!std::strcmp(argv[i], "--port")) {
-            args.server.port = static_cast<uint16_t>(
-                std::atoi(need("--port")));
+            args.server.port =
+                parse_port("--port", need("--port"));
         } else if (!std::strcmp(argv[i], "--port-file")) {
             args.port_file = need("--port-file");
         } else if (!std::strcmp(argv[i], "--max-connections")) {
@@ -318,8 +332,8 @@ parse(int argc, char **argv)
                 std::atof(need("--drain-grace-ms"));
         } else if (!std::strcmp(argv[i], "--metrics-port")) {
             args.metrics_port_set = true;
-            args.metrics_port = static_cast<uint16_t>(
-                std::atoi(need("--metrics-port")));
+            args.metrics_port = parse_port(
+                "--metrics-port", need("--metrics-port"));
         } else if (!std::strcmp(argv[i], "--metrics-port-file")) {
             args.metrics_port_file = need("--metrics-port-file");
         } else if (!std::strcmp(argv[i], "--access-log")) {
@@ -360,8 +374,6 @@ parse(int argc, char **argv)
                 (std::string("unknown flag ") + argv[i]).c_str());
         }
     }
-    if (!args.store_path.empty() && !args.store_dir.empty())
-        usage("--store and --store-dir are mutually exclusive");
     return args;
 }
 
@@ -458,7 +470,6 @@ run_stdio(const CliArgs &args, serve::KernelRegistry &registry,
     serve::ServeContext ctx;
     ctx.registry = &registry;
     ctx.queue = stats_queue;
-    ctx.store_path = args.store_path;
     ctx.store = store;
     ctx.request_metrics = &request_metrics;
     ctx.runtime = &runtime;
@@ -597,11 +608,6 @@ run_stdio(const CliArgs &args, serve::KernelRegistry &registry,
             std::fprintf(stderr,
                          "heron_serve: exit compaction failed "
                          "(WAL segments remain authoritative)\n");
-    } else if (!args.store_path.empty() &&
-               !registry.save_store_file(args.store_path)) {
-        std::fprintf(stderr,
-                     "heron_serve: cannot persist store to %s\n",
-                     args.store_path.c_str());
     }
     return kExitSuccess;
 }
@@ -613,7 +619,6 @@ run_tcp(const CliArgs &args, serve::KernelRegistry &registry,
         serve::GraphService *graph)
 {
     serve::ServerConfig config = args.server;
-    config.store_path = args.store_path;
     config.store = store;
     config.graph = graph;
     serve::Server server(registry, args.tune_on_miss ? &queue
@@ -734,24 +739,6 @@ main(int argc, char **argv)
                      static_cast<long long>(
                          store_stats.quarantined),
                      store_stats.last_replay_ms);
-    } else if (!args.store_path.empty()) {
-        serve::StoreLoadStats load_stats;
-        registry.load_store_file(args.store_path, &load_stats);
-        std::fprintf(stderr,
-                     "heron_serve: %s on %s: loaded %lld record(s) "
-                     "from %s (%lld skipped)\n",
-                     args.tune_on_miss ? "serving+tuning"
-                                       : "serving",
-                     spec.name.c_str(),
-                     static_cast<long long>(load_stats.loaded),
-                     args.store_path.c_str(),
-                     static_cast<long long>(
-                         load_stats.unparsable +
-                         load_stats.foreign_dla +
-                         load_stats.invalid +
-                         load_stats.read.malformed +
-                         load_stats.read.crc_mismatches +
-                         load_stats.read.version_skipped));
     }
 
     serve::TuneQueueConfig queue_config;
@@ -760,7 +747,6 @@ main(int argc, char **argv)
     queue_config.tune.trials = args.trials;
     queue_config.tune.seed = args.seed;
     queue_config.tune.measure_workers = args.measure_workers;
-    queue_config.store_path = args.store_path;
     queue_config.store = store.get();
     serve::TuneQueue queue(registry, queue_config);
     if (args.tune_on_miss) {

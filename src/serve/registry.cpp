@@ -6,15 +6,11 @@
 #include <limits>
 
 #include "csp/solver.h"
-#include "support/fs_util.h"
 #include "support/logging.h"
 #include "support/math_util.h"
 #include "support/metrics.h"
 #include "support/rng.h"
 #include "support/trace.h"
-
-#include <fstream>
-#include <sstream>
 
 namespace heron::serve {
 
@@ -634,25 +630,11 @@ KernelRegistry::stats() const
 }
 
 int64_t
-KernelRegistry::load_store(const std::string &text,
-                           StoreLoadStats *stats)
-{
-    StoreLoadStats local;
-    auto records = autotune::read_records(text, &local.read);
-    int64_t loaded = load_records(std::move(records), &local);
-    if (stats)
-        *stats = local;
-    return loaded;
-}
-
-int64_t
 KernelRegistry::load_records(
     std::vector<autotune::TuningRecord> records,
     StoreLoadStats *stats)
 {
     StoreLoadStats local;
-    if (stats)
-        local.read = stats->read;
     // Screen and group records by shard first: COW makes a per-
     // record insert O(shard size), so a bulk load does one
     // copy+publish per touched shard instead of one per record.
@@ -711,46 +693,6 @@ KernelRegistry::load_records(
     if (stats)
         *stats = local;
     return local.loaded;
-}
-
-int64_t
-KernelRegistry::load_store_file(const std::string &path,
-                                StoreLoadStats *stats)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (stats)
-            *stats = {};
-        return 0;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    return load_store(text.str(), stats);
-}
-
-bool
-KernelRegistry::save_store_file(const std::string &path) const
-{
-    std::vector<autotune::TuningRecord> records;
-    {
-        support::HazardDomain::Guard guard;
-        for (const auto &shard : shards_) {
-            const Map *map = guard.protect(shard->current);
-            for (const auto &[key, entry] : *map)
-                records.push_back(entry.record);
-        }
-    }
-    std::sort(records.begin(), records.end(),
-              [](const autotune::TuningRecord &a,
-                 const autotune::TuningRecord &b) {
-                  return a.workload < b.workload;
-              });
-    // Re-stamp sequence numbers in sorted order so the store never
-    // trips read_records' regression detector.
-    for (size_t i = 0; i < records.size(); ++i)
-        records[i].seq = static_cast<int64_t>(i) + 1;
-    return atomic_write_file(path,
-                             autotune::write_records(records));
 }
 
 } // namespace heron::serve

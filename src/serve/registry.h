@@ -31,10 +31,10 @@
  *             negative-cache counter is bumped so a workload that
  *             keeps missing stops paying the fallback scan
  *
- * The registry loads from and persists to the CRC-framed JSONL
- * record store (category "serve", workload field = canonical
- * signature) via atomic_write_file, so a serving store survives a
- * crash at any instant.
+ * The registry itself is in-memory only: it is filled from a
+ * DurableStore replay (serve/store_wal.h) via load_records, and the
+ * tune queue appends each new record to that store before put()
+ * publishes it.
  */
 #ifndef HERON_SERVE_REGISTRY_H
 #define HERON_SERVE_REGISTRY_H
@@ -172,7 +172,7 @@ struct RegistryStats {
     int64_t stale_inserts = 0;
 };
 
-/** Accounting for KernelRegistry::load_store. */
+/** Accounting for KernelRegistry::load_records. */
 struct StoreLoadStats {
     /** Records indexed. */
     int64_t loaded = 0;
@@ -182,8 +182,6 @@ struct StoreLoadStats {
     int64_t foreign_dla = 0;
     /** Invalid (failed-measurement) records skipped. */
     int64_t invalid = 0;
-    /** Underlying JSONL accounting (CRC, version skips, ...). */
-    autotune::RecordReadStats read;
 };
 
 /**
@@ -268,33 +266,14 @@ class KernelRegistry
     RegistryStats stats() const;
 
     /**
-     * Merge a CRC-framed JSONL store into the index (keeping the
-     * faster record on key collisions). Unparsable, foreign-DLA,
-     * and invalid records are skipped and counted. Returns the
-     * number of records indexed.
-     */
-    int64_t load_store(const std::string &text,
-                       StoreLoadStats *stats = nullptr);
-
-    /**
-     * Merge already-parsed records (same screening and collision
-     * policy as load_store). Feeds the index from sources that do
-     * their own framing, e.g. DurableStore::records() after a WAL
-     * replay.
+     * Merge already-parsed records into the index, keeping the
+     * faster record on key collisions. Unparsable, foreign-DLA, and
+     * invalid records are skipped and counted. Fed from
+     * DurableStore::records() after a WAL replay. Returns the number
+     * of records indexed.
      */
     int64_t load_records(std::vector<autotune::TuningRecord> records,
                          StoreLoadStats *stats = nullptr);
-
-    /** load_store from a file; missing file = empty store (0). */
-    int64_t load_store_file(const std::string &path,
-                            StoreLoadStats *stats = nullptr);
-
-    /**
-     * Persist every served record, sorted by canonical signature
-     * for run-to-run determinism, via atomic_write_file. False on
-     * I/O failure.
-     */
-    bool save_store_file(const std::string &path) const;
 
     /** The accelerator this registry serves. */
     const hw::DlaSpec &spec() const { return spec_; }

@@ -2,9 +2,8 @@
  * @file
  * Write-ahead-logged durable store for the serving layer.
  *
- * The legacy persist path rewrote the entire store file on every
- * tune completion (O(N) serialize + fsync per record). DurableStore
- * replaces it with a log-structured layout inside one directory:
+ * DurableStore is the serving layer's only persistence: a
+ * log-structured layout inside one directory:
  *
  *   MANIFEST               one-line JSON: current snapshot file and
  *                          the first live segment id (atomic swap)

@@ -2,8 +2,8 @@
  * @file
  * Serving-layer tests: canonical workload keys, the three lookup
  * tiers of KernelRegistry (including solver-based schedule transfer
- * on the nearest tier), store persistence, the background tune
- * queue, the NDJSON protocol, and the record-format satellites
+ * on the nearest tier), loading from the WAL store, the background
+ * tune queue, the NDJSON protocol, and the record-format satellites
  * (versioning, unknown-key tolerance, library dedup/dispatch
  * determinism). The Serve*Concurrency tests are also run under the
  * tsan preset (see scripts/verify.sh).
@@ -12,20 +12,19 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
+#include <cstdlib>
+#include <filesystem>
 #include <thread>
-
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include "autotune/library.h"
 #include "autotune/record.h"
 #include "csp/solver.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
+#include "serve/store_wal.h"
 #include "serve/tune_queue.h"
 #include "serve/workload_key.h"
+#include "support/fs_util.h"
 
 namespace heron::serve {
 namespace {
@@ -53,6 +52,31 @@ solved_record(const hw::DlaSpec &spec, const ops::Workload &workload,
     record.gflops = gflops;
     record.assignment = assignment ? *assignment : csp::Assignment{};
     return record;
+}
+
+/**
+ * solved_record stamped with the identity put() would give it, as
+ * the tune queue stamps a record before its write-ahead append.
+ */
+autotune::TuningRecord
+stamped_record(const hw::DlaSpec &spec, const ops::Workload &workload,
+               double gflops)
+{
+    autotune::TuningRecord record =
+        solved_record(spec, workload, gflops);
+    record.workload = make_key(workload, spec).canonical();
+    record.category = "serve";
+    return record;
+}
+
+/** Fresh private store directory under the gtest temp root. */
+std::string
+fresh_store_dir(const char *tag)
+{
+    std::string tmpl =
+        ::testing::TempDir() + "heron_serve_" + tag + "_XXXXXX";
+    EXPECT_NE(::mkdtemp(tmpl.data()), nullptr) << tmpl;
+    return tmpl;
 }
 
 // ---------------------------------------------------------------
@@ -451,61 +475,80 @@ TEST(Registry, MissHandlerSeesMissesAndNearestHits)
 // Store persistence
 // ---------------------------------------------------------------
 
-TEST(RegistryStore, RoundTripsThroughFile)
+TEST(RegistryStore, RoundTripsThroughDurableStore)
 {
     auto spec = hw::DlaSpec::v100();
-    std::string path =
-        ::testing::TempDir() + "heron_serve_store.jsonl";
+    DurableStoreConfig config;
+    config.dir = fresh_store_dir("roundtrip");
     auto a = ops::gemm(512, 512, 512);
     auto b = ops::gemm(256, 256, 256);
     {
+        // The tune queue's order: durable append, then publish.
         KernelRegistry registry(spec);
-        EXPECT_TRUE(
-            registry.put(a, solved_record(spec, a, 100.0)));
-        EXPECT_TRUE(registry.put(b, solved_record(spec, b, 50.0)));
-        EXPECT_TRUE(registry.save_store_file(path));
+        DurableStore store(config);
+        ASSERT_TRUE(store.open());
+        auto record_a = stamped_record(spec, a, 100.0);
+        auto record_b = stamped_record(spec, b, 50.0);
+        EXPECT_TRUE(store.append(record_a));
+        EXPECT_TRUE(registry.put(a, record_a));
+        EXPECT_TRUE(store.append(record_b));
+        EXPECT_TRUE(registry.put(b, record_b));
+        store.close();
     }
 
+    DurableStore store(config);
+    ASSERT_TRUE(store.open());
+    EXPECT_EQ(store.stats().quarantined, 0);
+    EXPECT_EQ(store.stats().torn_tails, 0);
     KernelRegistry reloaded(spec);
     StoreLoadStats stats;
-    EXPECT_EQ(reloaded.load_store_file(path, &stats), 2);
+    EXPECT_EQ(reloaded.load_records(store.records(), &stats), 2);
     EXPECT_EQ(stats.loaded, 2);
-    EXPECT_FALSE(stats.read.corrupt());
     EXPECT_EQ(reloaded.lookup(a).tier, LookupTier::kExact);
     EXPECT_EQ(reloaded.lookup(b).tier, LookupTier::kExact);
-    std::remove(path.c_str());
+    store.close();
+    std::filesystem::remove_all(config.dir);
 }
 
 TEST(RegistryStore, SkipsForeignDlaRecords)
 {
-    std::string path =
-        ::testing::TempDir() + "heron_serve_foreign.jsonl";
     auto spec = hw::DlaSpec::v100();
+    DurableStoreConfig config;
+    config.dir = fresh_store_dir("foreign");
     auto workload = ops::gemm(512, 512, 512);
     {
         KernelRegistry registry(spec);
-        EXPECT_TRUE(registry.put(
-            workload, solved_record(spec, workload, 100.0)));
-        EXPECT_TRUE(registry.save_store_file(path));
+        DurableStore store(config);
+        ASSERT_TRUE(store.open());
+        auto record = stamped_record(spec, workload, 100.0);
+        EXPECT_TRUE(store.append(record));
+        EXPECT_TRUE(registry.put(workload, record));
+        store.close();
     }
 
     // A T4 server must not serve V100 schedules.
+    DurableStore store(config);
+    ASSERT_TRUE(store.open());
     KernelRegistry other(hw::DlaSpec::t4());
     StoreLoadStats stats;
-    EXPECT_EQ(other.load_store_file(path, &stats), 0);
+    EXPECT_EQ(other.load_records(store.records(), &stats), 0);
     EXPECT_EQ(stats.foreign_dla, 1);
-    std::remove(path.c_str());
+    store.close();
+    std::filesystem::remove_all(config.dir);
 }
 
-TEST(RegistryStore, MissingFileIsEmpty)
+TEST(RegistryStore, EmptyDirectoryIsEmpty)
 {
+    DurableStoreConfig config;
+    config.dir = fresh_store_dir("empty");
+    DurableStore store(config);
+    ASSERT_TRUE(store.open());
     KernelRegistry registry(hw::DlaSpec::v100());
     StoreLoadStats stats;
-    EXPECT_EQ(registry.load_store_file(
-                  ::testing::TempDir() + "heron_no_such_store.jsonl",
-                  &stats),
-              0);
+    EXPECT_EQ(registry.load_records(store.records(), &stats), 0);
     EXPECT_EQ(registry.size(), 0u);
+    store.close();
+    std::filesystem::remove_all(config.dir);
 }
 
 // ---------------------------------------------------------------
@@ -680,46 +723,55 @@ TEST(TuneQueueTest, ServedWorkloadIsNotTunedAgain)
 
 TEST(TuneQueueTest, PersistFailureIsCountedAndRetried)
 {
-    // Legacy single-file store path: a failed save must be counted
-    // (not silently dropped) and retried on the next completion.
+    // A failed WAL append must be counted (not silently dropped),
+    // and the stashed record retried once the store recovers.
+    struct FaultGuard {
+        ~FaultGuard() { fsfault::disarm(); }
+    } guard;
     auto spec = hw::DlaSpec::v100();
     KernelRegistry registry(spec);
-    std::string dir = ::testing::TempDir() + "heron_persist_retry";
-    std::string store = dir + "/store.jsonl";
-    ::remove(store.c_str());
-    ::rmdir(dir.c_str());
+    DurableStoreConfig store_config;
+    store_config.dir = fresh_store_dir("persist_retry");
+    store_config.retry_backoff_ms = 0.0; // probe on every admission
+    DurableStore store(store_config);
+    ASSERT_TRUE(store.open());
 
     TuneQueueConfig config;
     config.tune = tiny_tune_config();
-    config.store_path = store; // parent dir missing: save fails
+    config.store = &store;
     TuneQueue queue(registry, config);
     queue.start();
+    fsfault::arm("store.append", {0, 1}); // the first append fails
     ASSERT_EQ(queue.enqueue(ops::gemm(256, 256, 256)),
               EnqueueOutcome::kAccepted);
     queue.drain();
     auto stats = queue.stats();
     EXPECT_EQ(stats.completed, 1);
     EXPECT_EQ(stats.persist_failures, 1);
-    EXPECT_EQ(stats.persist_retries, 0);
+    EXPECT_FALSE(store.healthy());
+    EXPECT_EQ(store.stats().recoveries, 0);
 
-    // The path becomes writable: the next completion persists the
-    // whole registry, recovering the earlier record too.
-    ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
+    // The append path works again: admission probes the store,
+    // which flushes the stashed record before the next tune.
     ASSERT_EQ(queue.enqueue(ops::gemm(512, 256, 256)),
               EnqueueOutcome::kAccepted);
     queue.drain();
     stats = queue.stats();
     EXPECT_EQ(stats.completed, 2);
     EXPECT_EQ(stats.persist_failures, 1);
-    EXPECT_EQ(stats.persist_retries, 1);
+    EXPECT_EQ(store.stats().recoveries, 1);
     queue.stop();
+    store.close();
 
+    DurableStore reopened(store_config);
+    ASSERT_TRUE(reopened.open());
     KernelRegistry restored(spec);
     StoreLoadStats load_stats;
-    EXPECT_TRUE(restored.load_store_file(store, &load_stats));
+    EXPECT_EQ(restored.load_records(reopened.records(), &load_stats),
+              2);
     EXPECT_EQ(load_stats.loaded, 2);
-    ::remove(store.c_str());
-    ::rmdir(dir.c_str());
+    reopened.close();
+    std::filesystem::remove_all(store_config.dir);
 }
 
 TEST(ServeConcurrency, HotSwapPutRacesDrainWithoutLoss)

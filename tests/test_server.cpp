@@ -5,7 +5,7 @@
  * serve::Server — pipelining, torn frames, garbage bytes, oversized
  * lines, slow-loris idle timeouts, mid-request disconnects,
  * overload shedding, deadline expiry, connection caps, graceful
- * drain (with store persistence), the hard-kill fallback, and a
+ * drain (compacting the WAL store), the hard-kill fallback, and a
  * 64-client mixed-abuse run. The whole binary also runs under the
  * tsan and asan presets (see scripts/verify.sh).
  */
@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -572,32 +573,53 @@ TEST(ServerTest, ShutdownCommandDrainsGracefully)
 
 TEST(ServerTest, DrainFinishesInFlightAndPersistsStore)
 {
-    std::string store =
-        ::testing::TempDir() + "server_drain_store.jsonl";
-    std::remove(store.c_str());
+    std::string dir =
+        ::testing::TempDir() + "server_drain_store_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr) << dir;
+    DurableStoreConfig store_config;
+    store_config.dir = dir;
     ServedRegistry served;
-    ServerConfig config;
-    config.debug_stall_ms = 80.0;
-    config.store_path = store;
-    auto server = served.start(config);
-    TestClient client(server->port());
-    ASSERT_TRUE(client.ok());
-    ASSERT_TRUE(client.send_all(lookup_line(1)));
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    server->request_drain(); // SIGTERM path (signal-safe entry)
+    {
+        DurableStore store(store_config);
+        ASSERT_TRUE(store.open());
+        // The served record, appended as the tune queue would.
+        auto workload = ops::gemm(64, 64, 64);
+        auto record = solved_record(served.spec, workload, 100.0);
+        record.workload = make_key(workload, served.spec).canonical();
+        ASSERT_TRUE(store.append(record));
 
-    // The accepted request must still be answered before the close.
-    auto line = client.read_line();
-    ASSERT_TRUE(line.has_value());
-    EXPECT_NE(line->find("\"tier\":\"exact\""), std::string::npos);
-    EXPECT_TRUE(client.wait_eof());
-    EXPECT_EQ(server->wait(), 0);
+        ServerConfig config;
+        config.debug_stall_ms = 80.0;
+        config.store = &store;
+        auto server = served.start(config);
+        TestClient client(server->port());
+        ASSERT_TRUE(client.ok());
+        ASSERT_TRUE(client.send_all(lookup_line(1)));
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        server->request_drain(); // SIGTERM path (signal-safe entry)
 
-    std::ifstream persisted(store, std::ios::binary);
-    ASSERT_TRUE(persisted.good());
-    persisted.seekg(0, std::ios::end);
-    EXPECT_GT(persisted.tellg(), 0);
-    std::remove(store.c_str());
+        // The accepted request must still be answered before the
+        // close.
+        auto line = client.read_line();
+        ASSERT_TRUE(line.has_value());
+        EXPECT_NE(line->find("\"tier\":\"exact\""),
+                  std::string::npos);
+        EXPECT_TRUE(client.wait_eof());
+        EXPECT_EQ(server->wait(), 0);
+        // Drain leaves a compacted snapshot behind.
+        EXPECT_EQ(store.stats().compactions, 1);
+        store.close();
+    }
+
+    // A fresh store reopened on the directory serves the record.
+    DurableStore reopened(store_config);
+    ASSERT_TRUE(reopened.open());
+    KernelRegistry restored(served.spec);
+    EXPECT_EQ(restored.load_records(reopened.records()), 1);
+    EXPECT_EQ(restored.lookup(ops::gemm(64, 64, 64)).tier,
+              LookupTier::kExact);
+    reopened.close();
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ServerTest, HardKillFiresWhenDrainStalls)

@@ -342,6 +342,36 @@ TEST(StoreWal, CorruptManifestIsNotFatal)
     remove_tree(dir);
 }
 
+TEST(StoreWal, LegacyStoreFileOpensAsSnapshot)
+{
+    // A whole-file store (sorted by workload, seq re-stamped, one
+    // write_records call) has the compaction snapshot's format, so
+    // migrating one into a store directory is a file copy.
+    std::vector<autotune::TuningRecord> records;
+    for (int i = 0; i < 5; ++i) {
+        records.push_back(
+            wal_record("legacy" + std::to_string(i), 10.0 + i));
+        records.back().seq = i + 1;
+    }
+    std::string dir = fresh_dir("legacy");
+    write_file(dir + "/snapshot-000001.jsonl",
+               autotune::write_records(records));
+
+    DurableStoreConfig config;
+    config.dir = dir;
+    DurableStore store(config);
+    ASSERT_TRUE(store.open());
+    auto stats = store.stats();
+    EXPECT_EQ(stats.replayed, 5);
+    EXPECT_EQ(stats.quarantined, 0);
+    auto view = held(store);
+    ASSERT_EQ(view.size(), records.size());
+    for (const auto &record : records)
+        EXPECT_DOUBLE_EQ(view.at(record.workload), record.gflops);
+    store.close();
+    remove_tree(dir);
+}
+
 // ---------------------------------------------------------------
 // Exhaustive corruption fuzz (satellite: load must never crash)
 // ---------------------------------------------------------------
