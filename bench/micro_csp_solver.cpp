@@ -4,8 +4,9 @@
  * loop). Reproduces the fig12 CGA solve workload — plain population
  * draws plus crossover-constrained offspring solves on the C2D, GEMM
  * and Table 10 C3D spaces — and reports solver throughput, per-solve
- * latency percentiles, propagation and revision counts, and
- * SampleBatch worker scaling into a JSON artifact.
+ * latency percentiles (p99 shows the restart schedule's tail),
+ * backtrack, propagation and revision counts, and SampleBatch worker
+ * scaling into a JSON artifact.
  *
  * Usage:
  *   micro_csp_solver [--trials N] [--seed S] [--quick]
@@ -52,6 +53,8 @@ struct SolveSeries {
     double solves_per_sec = 0.0;
     double p50_ms = 0.0;
     double p95_ms = 0.0;
+    double p99_ms = 0.0;
+    double backtracks_per_solve = 0.0;
     double propagations_per_solve = 0.0;
     double revisions_per_solve = 0.0;
 };
@@ -114,7 +117,11 @@ make_series(const std::vector<double> &latencies, int solved,
     series.solves_per_sec = elapsed > 0 ? n / elapsed : 0.0;
     series.p50_ms = percentile(latencies, 50.0);
     series.p95_ms = percentile(latencies, 95.0);
+    series.p99_ms = percentile(latencies, 99.0);
     if (n > 0) {
+        series.backtracks_per_solve =
+            static_cast<double>(after.backtracks - before.backtracks) /
+            n;
         series.propagations_per_solve =
             static_cast<double>(after.propagations -
                                 before.propagations) /
@@ -172,10 +179,11 @@ void
 print_series(const char *label, const SolveSeries &s)
 {
     std::printf("  %-10s %7.1f solves/sec  p50 %.3f ms  p95 %.3f "
-                "ms  %.1f props/solve  %.1f revs/solve  (%d/%d ok)\n",
-                label, s.solves_per_sec, s.p50_ms, s.p95_ms,
-                s.propagations_per_solve, s.revisions_per_solve,
-                s.solved, s.attempts);
+                "ms  p99 %.3f ms  %.1f backtracks/solve  %.1f "
+                "props/solve  %.1f revs/solve  (%d/%d ok)\n",
+                label, s.solves_per_sec, s.p50_ms, s.p95_ms, s.p99_ms,
+                s.backtracks_per_solve, s.propagations_per_solve,
+                s.revisions_per_solve, s.solved, s.attempts);
 }
 
 void
@@ -193,10 +201,13 @@ write_json(const std::string &path, int trials, uint64_t seed,
         std::fprintf(out,
                      "    \"%s\": {\"solves_per_sec\": %.2f, "
                      "\"p50_ms\": %.5f, \"p95_ms\": %.5f, "
+                     "\"p99_ms\": %.5f, "
+                     "\"backtracks_per_solve\": %.2f, "
                      "\"propagations_per_solve\": %.2f, "
                      "\"revisions_per_solve\": %.2f, "
                      "\"solved\": %d, \"attempts\": %d}%s\n",
                      name, s.solves_per_sec, s.p50_ms, s.p95_ms,
+                     s.p99_ms, s.backtracks_per_solve,
                      s.propagations_per_solve, s.revisions_per_solve,
                      s.solved, s.attempts, suffix);
     };

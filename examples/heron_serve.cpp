@@ -54,7 +54,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -225,18 +228,56 @@ usage(const char *msg)
     std::exit(kExitUsage);
 }
 
+/** A decimal integer in [lo, hi], or exit via usage(). */
+uint64_t
+parse_uint(const char *flag, const char *text, uint64_t lo, uint64_t hi)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long value = std::strtoull(text, &end, 10);
+    if (*text < '0' || *text > '9' || *end != '\0' || errno == ERANGE ||
+        value < lo || value > hi)
+        usage((std::string(flag) + " needs an integer in " +
+               std::to_string(lo) + "-" + std::to_string(hi) + ", got '" +
+               text + "'")
+                  .c_str());
+    return value;
+}
+
+/** A non-negative int, or exit via usage(). */
+int
+parse_int(const char *flag, const char *text)
+{
+    return static_cast<int>(parse_uint(flag, text, 0, INT_MAX));
+}
+
+/** A positive int (a count, size or worker number), or exit via usage(). */
+int
+parse_count(const char *flag, const char *text)
+{
+    return static_cast<int>(parse_uint(flag, text, 1, INT_MAX));
+}
+
 /** A TCP port in 0-65535 (0 = ephemeral), or exit via usage(). */
 uint16_t
 parse_port(const char *flag, const char *text)
 {
+    return static_cast<uint16_t>(parse_uint(flag, text, 0, 65535));
+}
+
+/** A finite decimal number >= 0, or exit via usage(). */
+double
+parse_real(const char *flag, const char *text)
+{
     char *end = nullptr;
     errno = 0;
-    long value = std::strtol(text, &end, 10);
-    if (*text < '0' || *text > '9' || *end != '\0' ||
-        errno == ERANGE || value > 65535)
-        usage((std::string(flag) + " needs a port in 0-65535, got '" +
-               text + "'").c_str());
-    return static_cast<uint16_t>(value);
+    double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(value) || value < 0.0)
+        usage((std::string(flag) + " needs a number >= 0, got '" + text +
+               "'")
+                  .c_str());
+    return value;
 }
 
 CliArgs
@@ -255,14 +296,14 @@ parse(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--store-dir")) {
             args.store_dir = need("--store-dir");
         } else if (!std::strcmp(argv[i], "--segment-bytes")) {
-            args.segment_bytes = static_cast<size_t>(std::max(
-                1, std::atoi(need("--segment-bytes"))));
+            args.segment_bytes = static_cast<size_t>(
+                parse_count("--segment-bytes", need("--segment-bytes")));
         } else if (!std::strcmp(argv[i], "--compact-segments")) {
             args.compact_segments =
-                std::atoi(need("--compact-segments"));
+                parse_int("--compact-segments", need("--compact-segments"));
         } else if (!std::strcmp(argv[i], "--store-retry-ms")) {
             args.store_retry_ms =
-                std::atof(need("--store-retry-ms"));
+                parse_real("--store-retry-ms", need("--store-retry-ms"));
         } else if (!std::strcmp(argv[i], "--metrics")) {
             args.metrics_path = need("--metrics");
         } else if (!std::strcmp(argv[i], "--trace")) {
@@ -275,27 +316,27 @@ parse(int argc, char **argv)
             args.graph = true;
             args.graph_dir = need("--graph-dir");
         } else if (!std::strcmp(argv[i], "--max-graphs")) {
-            args.max_graphs = std::atoi(need("--max-graphs"));
+            args.max_graphs = parse_int("--max-graphs", need("--max-graphs"));
         } else if (!std::strcmp(argv[i], "--no-fallback")) {
             args.fallback = false;
         } else if (!std::strcmp(argv[i], "--trials")) {
-            args.trials = std::atoi(need("--trials"));
+            args.trials = parse_count("--trials", need("--trials"));
         } else if (!std::strcmp(argv[i], "--seed")) {
-            args.seed =
-                static_cast<uint64_t>(std::atoll(need("--seed")));
+            args.seed = parse_uint("--seed", need("--seed"), 0, UINT64_MAX);
         } else if (!std::strcmp(argv[i], "--queue-capacity")) {
             args.queue_capacity =
-                std::atoi(need("--queue-capacity"));
+                parse_count("--queue-capacity", need("--queue-capacity"));
         } else if (!std::strcmp(argv[i], "--shards")) {
-            args.shards = std::atoi(need("--shards"));
+            args.shards = parse_count("--shards", need("--shards"));
         } else if (!std::strcmp(argv[i], "--measure-workers")) {
             args.measure_workers =
-                std::atoi(need("--measure-workers"));
+                parse_count("--measure-workers", need("--measure-workers"));
         } else if (!std::strcmp(argv[i], "--negative-threshold")) {
-            args.negative_threshold =
-                std::atoi(need("--negative-threshold"));
+            args.negative_threshold = parse_int(
+                "--negative-threshold", need("--negative-threshold"));
         } else if (!std::strcmp(argv[i], "--max-distance")) {
-            args.max_distance = std::atof(need("--max-distance"));
+            args.max_distance =
+                parse_real("--max-distance", need("--max-distance"));
         } else if (!std::strcmp(argv[i], "--stdio")) {
             args.stdio = true;
         } else if (!std::strcmp(argv[i], "--host")) {
@@ -307,29 +348,28 @@ parse(int argc, char **argv)
             args.port_file = need("--port-file");
         } else if (!std::strcmp(argv[i], "--max-connections")) {
             args.server.max_connections =
-                std::atoi(need("--max-connections"));
+                parse_count("--max-connections", need("--max-connections"));
         } else if (!std::strcmp(argv[i], "--max-conns-per-ip")) {
             args.server.max_connections_per_ip =
-                std::atoi(need("--max-conns-per-ip"));
+                parse_count("--max-conns-per-ip", need("--max-conns-per-ip"));
         } else if (!std::strcmp(argv[i], "--server-workers")) {
             args.server.workers =
-                std::atoi(need("--server-workers"));
+                parse_count("--server-workers", need("--server-workers"));
         } else if (!std::strcmp(argv[i], "--max-pending")) {
             args.server.max_pending_requests = static_cast<size_t>(
-                std::max(1, std::atoi(need("--max-pending"))));
+                parse_count("--max-pending", need("--max-pending")));
         } else if (!std::strcmp(argv[i], "--max-line-bytes")) {
             args.server.max_line_bytes = static_cast<size_t>(
-                std::max(1, std::atoi(need("--max-line-bytes"))));
+                parse_count("--max-line-bytes", need("--max-line-bytes")));
         } else if (!std::strcmp(argv[i], "--max-output-bytes")) {
             args.server.max_output_bytes = static_cast<size_t>(
-                std::max(1,
-                         std::atoi(need("--max-output-bytes"))));
+                parse_count("--max-output-bytes", need("--max-output-bytes")));
         } else if (!std::strcmp(argv[i], "--idle-timeout-ms")) {
             args.server.idle_timeout_ms =
-                std::atof(need("--idle-timeout-ms"));
+                parse_real("--idle-timeout-ms", need("--idle-timeout-ms"));
         } else if (!std::strcmp(argv[i], "--drain-grace-ms")) {
             args.server.drain_grace_ms =
-                std::atof(need("--drain-grace-ms"));
+                parse_real("--drain-grace-ms", need("--drain-grace-ms"));
         } else if (!std::strcmp(argv[i], "--metrics-port")) {
             args.metrics_port_set = true;
             args.metrics_port = parse_port(
@@ -339,32 +379,32 @@ parse(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--access-log")) {
             args.server.access_log.path = need("--access-log");
         } else if (!std::strcmp(argv[i], "--access-log-sample")) {
-            args.server.access_log.sample_every = std::max(
-                1, std::atoi(need("--access-log-sample")));
+            args.server.access_log.sample_every = parse_count(
+                "--access-log-sample", need("--access-log-sample"));
         } else if (!std::strcmp(argv[i], "--slow-request-ms")) {
             args.server.slow_request_ms =
-                std::atof(need("--slow-request-ms"));
+                parse_real("--slow-request-ms", need("--slow-request-ms"));
         } else if (!std::strcmp(argv[i], "--slo-p95-us")) {
             args.server.slo.lookup_p95_us =
-                std::atof(need("--slo-p95-us"));
+                parse_real("--slo-p95-us", need("--slo-p95-us"));
         } else if (!std::strcmp(argv[i], "--slo-error-rate")) {
             args.server.slo.max_error_rate =
-                std::atof(need("--slo-error-rate"));
+                parse_real("--slo-error-rate", need("--slo-error-rate"));
         } else if (!std::strcmp(argv[i], "--slo-eval-s")) {
             args.server.slo.eval_interval_s =
-                std::atof(need("--slo-eval-s"));
+                parse_real("--slo-eval-s", need("--slo-eval-s"));
         } else if (!std::strcmp(argv[i], "--slo-burn-evals")) {
             args.server.slo.burn_evals_to_shrink =
-                std::atoi(need("--slo-burn-evals"));
+                parse_count("--slo-burn-evals", need("--slo-burn-evals"));
         } else if (!std::strcmp(argv[i], "--slo-ok-evals")) {
             args.server.slo.ok_evals_to_restore =
-                std::atoi(need("--slo-ok-evals"));
+                parse_count("--slo-ok-evals", need("--slo-ok-evals"));
         } else if (!std::strcmp(argv[i], "--window-slot-s")) {
             args.server.request_metrics.slot_seconds =
-                std::atof(need("--window-slot-s"));
+                parse_real("--window-slot-s", need("--window-slot-s"));
         } else if (!std::strcmp(argv[i], "--window-slots")) {
             args.server.request_metrics.slots =
-                std::max(1, std::atoi(need("--window-slots")));
+                parse_count("--window-slots", need("--window-slots"));
         } else if (!std::strcmp(argv[i], "--help") ||
                    !std::strcmp(argv[i], "-h")) {
             print_usage(stdout);

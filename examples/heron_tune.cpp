@@ -460,8 +460,8 @@ main(int argc, char **argv)
     if (ss.solve_calls > 0)
         std::printf("Solver: %lld solve(s), %lld solution(s), %lld "
                     "propagation(s) (%.1f/solve), %lld revision(s), "
-                    "%lld backtrack(s), %lld unsat (%lld from memo), "
-                    "%lld budget, %lld deadline\n",
+                    "%lld backtrack(s), %lld restart(s), %lld unsat "
+                    "(%lld from memo), %lld budget, %lld deadline\n",
                     static_cast<long long>(ss.solve_calls),
                     static_cast<long long>(ss.solutions),
                     static_cast<long long>(ss.propagations),
@@ -469,6 +469,7 @@ main(int argc, char **argv)
                         static_cast<double>(ss.solve_calls),
                     static_cast<long long>(ss.revisions),
                     static_cast<long long>(ss.backtracks),
+                    static_cast<long long>(ss.restarts),
                     static_cast<long long>(ss.unsat),
                     static_cast<long long>(ss.unsat_memo_hits),
                     static_cast<long long>(ss.budget_exhausted),

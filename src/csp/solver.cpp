@@ -34,10 +34,11 @@ class Dfs
     {
     }
 
+    /** Search until a solution or @p budget backtracks. */
     std::optional<Assignment>
-    run()
+    run(int64_t budget)
     {
-        backtracks_left_ = config_.max_backtracks_per_restart;
+        backtracks_left_ = budget;
         if (recurse())
             return engine_.extract();
         return std::nullopt;
@@ -53,7 +54,7 @@ class Dfs
     const SolverConfig &config_;
     SolverStats &stats_;
     Clock::time_point deadline_;
-    int backtracks_left_ = 0;
+    int64_t backtracks_left_ = 0;
     bool deadline_hit_ = false;
     // Scratch for pick_branch_var's tie-break list; consumed before
     // the search recurses, so one buffer serves every depth and the
@@ -142,8 +143,11 @@ class Dfs
                 if (recurse())
                     return true; // levels stay open for extract()
             }
-            if (deadline_hit_)
-                return false; // caller pops all open levels at once
+            // An exhausted budget or deadline abandons the restart:
+            // the caller pops all open levels at once, and the
+            // unwinding is not counted as backtracks.
+            if (deadline_hit_ || backtracks_left_ <= 0)
+                return false;
             engine_.pop_level();
             ++stats_.backtracks;
             if (--backtracks_left_ <= 0)
@@ -303,11 +307,19 @@ RandSatSolver::search(Rng &rng, const std::vector<Constraint> &extra)
                    std::chrono::duration_cast<Clock::duration>(
                        std::chrono::duration<double, std::milli>(
                            config_.deadline_ms));
-    for (int restart = 0; restart < config_.max_restarts; ++restart) {
+    // Luby restarts over one backtrack budget per call. The budget
+    // left is read off this call's own backtrack count, so the
+    // schedule depends only on the call's inputs.
+    for (int64_t restart = 0;; ++restart) {
+        const int64_t left =
+            config_.max_backtracks - (stats_.backtracks - backtracks_before);
+        if (left <= 0)
+            break;
         if (restart > 0)
             ++stats_.restarts;
         Dfs dfs(csp_, engine_, rng, config_, stats_, deadline);
-        auto result = dfs.run();
+        auto result =
+            dfs.run(std::min(left, kLubyUnit * luby(restart + 1)));
         if (result) {
             ++stats_.solutions;
             last_failure_ = SolveFailure::kNone;

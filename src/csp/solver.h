@@ -5,8 +5,14 @@
  * Heron uses a constraint solver only to draw *random valid
  * assignments* from a CSP (paper §5.1, "random constraint
  * satisfaction"). This solver performs randomized backtracking
- * search with propagation after every decision, restarting after a
- * backtrack budget is exhausted.
+ * search with propagation after every decision. Restarts follow the
+ * Luby schedule (Luby, Sinclair & Zuckerman 1993): restart r gets
+ * kLubyUnit * luby(r + 1) backtracks, until one solve call has
+ * spent max_backtracks in total. Solve times on CGA crossover
+ * subproblems are heavy-tailed, and a universal restart schedule
+ * cuts the tail that a fixed one leaves: most solves finish within
+ * a few short restarts, and a run that is stuck deep in a bad
+ * subtree is abandoned early instead of after a fixed long budget.
  *
  * Throughput design: the solver owns one PropagationEngine for its
  * whole lifetime and computes the base problem's root-propagation
@@ -23,6 +29,7 @@
 #ifndef HERON_CSP_SOLVER_H
 #define HERON_CSP_SOLVER_H
 
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -33,12 +40,36 @@
 
 namespace heron::csp {
 
+/**
+ * Term @p i (1-based) of the Luby sequence 1, 1, 2, 1, 1, 2, 4, 1,
+ * 1, 2, 1, 1, 2, 4, 8, ...: luby(2^k - 1) = 2^(k-1), and otherwise
+ * luby(i) = luby(i - 2^(k-1) + 1) for the k with
+ * 2^(k-1) <= i < 2^k - 1.
+ */
+constexpr int64_t
+luby(int64_t i)
+{
+    for (;;) {
+        int64_t k = 1;
+        while ((int64_t{1} << k) - 1 < i)
+            ++k;
+        if ((int64_t{1} << k) - 1 == i)
+            return int64_t{1} << (k - 1);
+        i -= (int64_t{1} << (k - 1)) - 1;
+    }
+}
+
+/**
+ * Backtracks of one Luby unit: restart r (0-based) gets
+ * kLubyUnit * luby(r + 1) backtracks, capped by what is left of
+ * SolverConfig::max_backtracks.
+ */
+constexpr int64_t kLubyUnit = 32;
+
 /** Knobs for the randomized solver. */
 struct SolverConfig {
-    /** Backtracks before a random restart. */
-    int max_backtracks_per_restart = 512;
-    /** Restarts before giving up on one solve call. */
-    int max_restarts = 16;
+    /** Backtracks, over all restarts, before one solve call gives up. */
+    int max_backtracks = 8192;
     /**
      * Prefer branching on tunable variables before auxiliary ones
      * (auxiliaries are usually fixed by propagation anyway).
@@ -63,7 +94,7 @@ enum class SolveFailure : uint8_t {
     kNone = 0,
     /** Proven unsatisfiable (root propagation wiped out a domain). */
     kUnsat,
-    /** Backtrack/restart budget exhausted (may still be sat). */
+    /** Backtrack budget exhausted (may still be sat). */
     kBudget,
     /** Wall-clock deadline expired (may still be sat). */
     kDeadline,
@@ -81,7 +112,7 @@ struct SolverStats {
     int64_t failures = 0;
     /** Solve calls that proved the subproblem unsatisfiable. */
     int64_t unsat = 0;
-    /** Solve calls that exhausted the backtrack/restart budget. */
+    /** Solve calls that exhausted the backtrack budget. */
     int64_t budget_exhausted = 0;
     /** Solve calls aborted by the wall-clock deadline. */
     int64_t deadline_aborts = 0;

@@ -95,16 +95,29 @@ class FatalMessage
 /** True if messages at @p level are currently printed. */
 bool log_enabled(LogLevel level);
 
+/**
+ * Turns a finished stream expression into void, so the logging
+ * macros can be conditional *expressions* (`cond ? (void)0 :
+ * Voidify() & stream << ...`) rather than `if ... else` statements,
+ * which raise -Wdangling-else as the body of an unbraced `if`. `&`
+ * binds looser than `<<` and tighter than `?:`, so the whole
+ * message is streamed first.
+ */
+struct Voidify {
+    void operator&(std::ostream &) const {}
+};
+
 } // namespace detail
 
 } // namespace heron
 
 #define HERON_LOG(level)                                                    \
-    if (!::heron::detail::log_enabled(::heron::LogLevel::level)) {          \
-    } else                                                                  \
-        ::heron::detail::LogMessage(::heron::LogLevel::level, __FILE__,     \
-                                    __LINE__)                               \
-            .stream()
+    !::heron::detail::log_enabled(::heron::LogLevel::level)                 \
+        ? (void)0                                                           \
+        : ::heron::detail::Voidify() &                                      \
+              ::heron::detail::LogMessage(::heron::LogLevel::level,         \
+                                          __FILE__, __LINE__)               \
+                  .stream()
 
 #define HERON_TRACE_MSG HERON_LOG(kTrace)
 #define HERON_DEBUG HERON_LOG(kDebug)
@@ -118,10 +131,10 @@ bool log_enabled(LogLevel level);
 
 /** Internal invariant check; aborts with the condition text on failure. */
 #define HERON_CHECK(cond)                                                   \
-    if (cond) {                                                             \
-    } else                                                                  \
-        ::heron::detail::FatalMessage(__FILE__, __LINE__).stream()          \
-            << "Check failed: " #cond " "
+    (cond) ? (void)0                                                        \
+           : ::heron::detail::Voidify() &                                   \
+                 ::heron::detail::FatalMessage(__FILE__, __LINE__).stream() \
+                     << "Check failed: " #cond " "
 
 #define HERON_CHECK_EQ(a, b) HERON_CHECK((a) == (b))
 #define HERON_CHECK_NE(a, b) HERON_CHECK((a) != (b))

@@ -473,6 +473,42 @@ TEST(SolverStats, AccumulatesFieldWise)
     EXPECT_EQ(a.unsat_memo_hits, 5);
 }
 
+TEST(Solver, LubySequence)
+{
+    const int64_t want[] = {1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8};
+    for (int64_t i = 1; i <= 15; ++i)
+        EXPECT_EQ(luby(i), want[i - 1]) << "luby(" << i << ")";
+    EXPECT_EQ(luby(31), 16);
+    EXPECT_EQ(luby(32), 1);
+
+    // An odd sum of sixteen odd numbers: unsatisfiable, but not
+    // provably so by bounds propagation, so every restart runs until
+    // its Luby allotment is spent. Units of kLubyUnit = 32 over a
+    // budget of 800: 32 32 64 32 32 64 128 32 32 64 32 32 64 128
+    // (768 in total), then the last restart gets the 32 that are
+    // left instead of 256.
+    static_assert(kLubyUnit == 32);
+    Csp csp;
+    std::vector<VarId> vars;
+    for (int i = 0; i < 16; ++i)
+        vars.push_back(csp.add_var("x" + std::to_string(i),
+                                   Domain::of({1, 3}), true));
+    csp.add_sum(csp.add_var("s", Domain::singleton(33)), vars);
+    SolverConfig config;
+    config.max_backtracks = 800;
+    RandSatSolver solver(csp, config);
+    Rng rng(1);
+    EXPECT_FALSE(solver.solve_one(rng).has_value());
+    EXPECT_EQ(solver.last_failure(), SolveFailure::kBudget);
+    EXPECT_EQ(solver.stats().backtracks, 800);
+    EXPECT_EQ(solver.stats().restarts, 14);
+
+    // The schedule restarts with every call.
+    EXPECT_FALSE(solver.solve_one(rng).has_value());
+    EXPECT_EQ(solver.stats().backtracks, 1600);
+    EXPECT_EQ(solver.stats().restarts, 28);
+}
+
 TEST(Solver, UnsatMemoShortCircuitsRepeatedProofs)
 {
     Csp csp;

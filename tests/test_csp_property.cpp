@@ -202,7 +202,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SolverFuzz,
  * RandSatSolver's branching heuristics and RNG consumption exactly
  * but undoes every decision by re-constructing the engine from a
  * copy saved before it, so agreement with RandSatSolver on the same seed proves
- * the trail rewrite is search-order preserving.
+ * the trail rewrite is search-order preserving. Restarts follow the
+ * same shared luby() schedule over the same backtrack budget.
  */
 class SnapshotReferenceSolver
 {
@@ -221,9 +222,12 @@ class SnapshotReferenceSolver
             return std::nullopt;
         rng_ = &rng;
         const PropagationEngine root = *engine_;
-        for (int restart = 0; restart < config_.max_restarts;
+        backtracks_ = 0;
+        for (int64_t restart = 0; backtracks_ < config_.max_backtracks;
              ++restart) {
-            backtracks_left_ = config_.max_backtracks_per_restart;
+            backtracks_left_ = std::min<int64_t>(
+                config_.max_backtracks - backtracks_,
+                kLubyUnit * luby(restart + 1));
             if (recurse()) {
                 Assignment a = engine_->extract();
                 engine_.emplace(root);
@@ -234,13 +238,18 @@ class SnapshotReferenceSolver
         return std::nullopt;
     }
 
+    /** Backtracks spent by the last solve_one call. */
+    int64_t backtracks() const { return backtracks_; }
+
   private:
     const Csp &csp_;
     SolverConfig config_;
     std::optional<PropagationEngine> engine_;
     bool root_ok_ = false;
     Rng *rng_ = nullptr;
-    int backtracks_left_ = 0;
+    /** Backtracks spent by the current solve_one call. */
+    int64_t backtracks_ = 0;
+    int64_t backtracks_left_ = 0;
 
     VarId
     pick_branch_var()
@@ -308,7 +317,10 @@ class SnapshotReferenceSolver
                 if (recurse())
                     return true;
             }
+            if (backtracks_left_ <= 0)
+                return false;
             engine_.emplace(snapshot);
+            ++backtracks_;
             if (--backtracks_left_ <= 0)
                 return false;
         }
@@ -318,9 +330,9 @@ class SnapshotReferenceSolver
 
 /** Solve the same problem with both solvers on the same seed. */
 void
-expect_trail_matches_snapshot(const Csp &csp, uint64_t seed)
+expect_trail_matches_snapshot(const Csp &csp, uint64_t seed,
+                              SolverConfig config)
 {
-    SolverConfig config;
     config.unsat_memo = false;
     RandSatSolver trail_solver(csp, config);
     SnapshotReferenceSolver snapshot_solver(csp, config);
@@ -329,10 +341,28 @@ expect_trail_matches_snapshot(const Csp &csp, uint64_t seed)
     auto trail = trail_solver.solve_one(trail_rng);
     auto snapshot = snapshot_solver.solve_one(snapshot_rng);
     ASSERT_EQ(trail.has_value(), snapshot.has_value());
-    if (trail)
+    if (trail) {
         EXPECT_EQ(*trail, *snapshot);
+    }
+    EXPECT_EQ(trail_solver.stats().backtracks, snapshot_solver.backtracks());
     // Both searches consumed identical RNG streams.
     EXPECT_EQ(trail_rng.next_u64(), snapshot_rng.next_u64());
+}
+
+/**
+ * The comparison above under the default budget and under a tight
+ * one, whose Luby allotments of 32 32 64 32 32 8 give up after six
+ * restarts.
+ */
+void
+expect_trail_matches_snapshot(const Csp &csp, uint64_t seed)
+{
+    SolverConfig tight;
+    tight.max_backtracks = 200;
+    for (SolverConfig config : {SolverConfig{}, tight}) {
+        SCOPED_TRACE(config.max_backtracks);
+        expect_trail_matches_snapshot(csp, seed, config);
+    }
 }
 
 TEST_P(SolverFuzz, TrailSolverMatchesSnapshotReference)
@@ -355,6 +385,21 @@ TEST(TrailEquivalence, MatchesSnapshotReferenceOnRealSpaces)
         expect_trail_matches_snapshot(gemm.csp, seed);
         expect_trail_matches_snapshot(c2d.csp, seed);
     }
+}
+
+TEST(TrailEquivalence, MatchesSnapshotReferenceAcrossRestarts)
+{
+    // An odd sum of sixteen odd numbers: unsatisfiable, but not
+    // provably so by bounds propagation, so both solvers spend every
+    // budget in full and go through every restart of the schedule.
+    Csp csp;
+    std::vector<VarId> vars;
+    for (int i = 0; i < 16; ++i)
+        vars.push_back(csp.add_var("x" + std::to_string(i),
+                                   Domain::of({1, 3}), true));
+    csp.add_sum(csp.add_var("s", Domain::singleton(33)), vars);
+    for (uint64_t seed = 1; seed <= 5; ++seed)
+        expect_trail_matches_snapshot(csp, seed);
 }
 
 TEST_P(SolverFuzz, TrailUndoRestoresExactRootDomains)
@@ -504,10 +549,10 @@ crossover_extras(const Csp &csp, const std::vector<Assignment> &parents,
 Trajectory
 run_crossover_trajectory(const Csp &csp, uint64_t seed, int solves)
 {
-    // A tight budget so the sequence also restarts and gives up.
+    // A tight budget so the sequence also restarts and gives up:
+    // Luby allotments of 32 32 64 32 32 64 spend it in six restarts.
     SolverConfig config;
-    config.max_backtracks_per_restart = 64;
-    config.max_restarts = 4;
+    config.max_backtracks = 256;
     config.unsat_memo = false;
     RandSatSolver solver(csp, config);
     Rng rng(seed);
@@ -562,15 +607,17 @@ expect_trajectory(const Trajectory &got, const Trajectory &want)
 // Propagation order is free to change (every propagator is a
 // monotone contraction with a unique fixpoint), but the search it
 // drives is not: a change to the revision schedule alone must leave
-// every value here as it is.
+// every value here as it is. The restart schedule is part of the
+// search; the values were recorded with Luby restarts of 32-backtrack
+// units under a 256-backtrack budget.
 TEST(GoldenTrajectory, CrossoverSolvesOnTable10C2d)
 {
     rules::SpaceGenerator gen(hw::DlaSpec::v100(),
                               rules::Options::heron());
     auto space = gen.generate(ops::c2d(16, 64, 28, 28, 64, 3, 3, 1, 1));
     expect_trajectory(run_crossover_trajectory(space.csp, 3, 48),
-                      {16326835099036835184ull, 1114, 2106, 10, 55, 0, 1,
-                       14469667080878405756ull});
+                      {6800340959737256718ull, 419, 1480, 4, 56, 0, 0,
+                       15157498281568867575ull});
 }
 
 TEST(GoldenTrajectory, CrossoverSolvesOnTable10C3d)
@@ -580,8 +627,8 @@ TEST(GoldenTrajectory, CrossoverSolvesOnTable10C3d)
     auto space =
         gen.generate(ops::c3d(4, 16, 16, 28, 28, 32, 3, 3, 3, 1, 1));
     expect_trajectory(run_crossover_trajectory(space.csp, 5, 48),
-                      {9313916560129658841ull, 2502, 3566, 24, 54, 0, 2,
-                       2378128111863851607ull});
+                      {14066398316097501737ull, 1948, 3581, 39, 53, 0, 3,
+                       12992864434490054107ull});
 }
 
 TEST_P(SolverFuzz, SampleBatchWorkerInvariantOnFuzzProblems)

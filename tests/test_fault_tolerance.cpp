@@ -196,11 +196,12 @@ TEST(SolverFailure, ExhaustedBudgetIsReported)
 {
     Csp csp = parity_trap(8, 17);
     SolverConfig config;
-    config.max_restarts = 2;
+    config.max_backtracks = 1024;
     RandSatSolver solver(csp, config);
     Rng rng(2);
     EXPECT_FALSE(solver.solve_one(rng).has_value());
     EXPECT_EQ(solver.last_failure(), SolveFailure::kBudget);
+    EXPECT_EQ(solver.stats().backtracks, config.max_backtracks);
 
     // A success resets the failure reason.
     Csp easy;
@@ -214,8 +215,7 @@ TEST(SolverFailure, DeadlineBoundsWallClock)
 {
     Csp csp = parity_trap(16, 33);
     SolverConfig config;
-    config.max_backtracks_per_restart = 1000000000;
-    config.max_restarts = 1000000000;
+    config.max_backtracks = 1000000000;
     config.deadline_ms = 50.0;
     RandSatSolver solver(csp, config);
     Rng rng(3);
